@@ -207,7 +207,7 @@ Result<Batch> HashAgg::Next(ExecContext* ctx) {
 
 void HashAgg::Close(ExecContext* ctx) {
   if (child_ != nullptr) child_->Close(ctx);
-  key_map_.Clear();
+  key_map_ = DenseKeyMap();  // release the capacity Clear() keeps
   key_store_.clear();
   core_.Reset();
   if (tracked_) tracked_->Clear();

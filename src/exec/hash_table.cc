@@ -1,6 +1,8 @@
 #include "exec/hash_table.h"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/fault_injection.h"
 #include "common/task_scheduler.h"
@@ -391,9 +393,21 @@ void EncodeAndAssignGroupsCols(const KeyEncoder& encoder,
 
 // ---------------- DenseKeyMap ----------------
 
-int64_t DenseKeyMap::Find(int64_t key) const {
-  auto it = int_map_.find(key);
-  return it == int_map_.end() ? -1 : it->second;
+uint32_t DenseKeyMap::NextId() const {
+  BDCC_CHECK_MSG(keys_.size() < kEmptySlot, "DenseKeyMap: ids exceed uint32");
+  return static_cast<uint32_t>(keys_.size());
+}
+
+void DenseKeyMap::Rehash(size_t slots) {
+  std::vector<uint32_t> old =
+      std::exchange(slots_, std::vector<uint32_t>(slots, kEmptySlot));
+  size_t mask = slots_.size() - 1;
+  for (uint32_t id : old) {
+    if (id == kEmptySlot) continue;
+    size_t s = HashKey64(static_cast<uint64_t>(keys_[id])) & mask;
+    while (slots_[s] != kEmptySlot) s = (s + 1) & mask;
+    slots_[s] = id;
+  }
 }
 
 int64_t DenseKeyMap::Find(const std::string& key) const {
@@ -402,52 +416,71 @@ int64_t DenseKeyMap::Find(const std::string& key) const {
 }
 
 int64_t DenseKeyMap::FindOrInsert(int64_t key, bool* out_inserted) {
-  auto [it, inserted] = int_map_.emplace(key, NextId());
-  *out_inserted = inserted;
-  return it->second;
+  // Keep load <= 1/2 even if this call inserts.
+  if ((int_keys_ + 1) * 2 > slots_.size()) {
+    Rehash(std::max(kMinSlots, slots_.size() * 2));
+  }
+  size_t mask = slots_.size() - 1;
+  size_t s = HashKey64(static_cast<uint64_t>(key)) & mask;
+  for (; slots_[s] != kEmptySlot; s = (s + 1) & mask) {
+    if (keys_[slots_[s]] == key) {
+      *out_inserted = false;
+      return slots_[s];
+    }
+  }
+  uint32_t id = NextId();
+  slots_[s] = id;
+  keys_.push_back(key);
+  ++int_keys_;
+  *out_inserted = true;
+  return id;
 }
 
 int64_t DenseKeyMap::FindOrInsert(const std::string& key, bool* out_inserted) {
-  auto [it, inserted] = bytes_map_.emplace(key, NextId());
+  auto [it, inserted] = bytes_map_.try_emplace(key, -1);
   *out_inserted = inserted;
-  if (inserted) bytes_key_payload_ += key.size();
+  if (inserted) {
+    it->second = NextId();
+    keys_.push_back(0);  // placeholder: byte ids live in bytes_map_
+    bytes_key_payload_ += key.size();
+  }
   return it->second;
 }
 
 void DenseKeyMap::Reserve(size_t n) {
-  int_map_.reserve(n);
+  size_t slots = kMinSlots;
+  while (slots < 2 * n) slots *= 2;
+  if (slots > slots_.size()) Rehash(slots);
+  keys_.reserve(n);
 }
 
 int64_t DenseKeyMap::NullId(bool* out_inserted) {
   *out_inserted = null_id_ < 0;
-  if (null_id_ < 0) null_id_ = NextId();
+  if (null_id_ < 0) {
+    null_id_ = NextId();
+    keys_.push_back(0);  // placeholder
+  }
   return null_id_;
 }
 
 uint64_t DenseKeyMap::MemoryBytes() const {
-  // buckets + nodes (key, value, next pointer); int mode may additionally
-  // hold byte keys for NULL-bearing packed tuples.
-  return int_map_.bucket_count() * 8 + int_map_.size() * 32 +
+  // Flat int path (capacities), plus the node-based byte side channel:
+  // buckets + nodes (key, value, next pointer) + key payload.
+  return keys_.capacity() * 8 + slots_.capacity() * 4 +
          bytes_map_.bucket_count() * 8 + bytes_map_.size() * 48 +
          bytes_key_payload_;
 }
 
 void DenseKeyMap::Clear() {
-  int_map_.clear();
+  keys_.clear();
+  if (int_keys_ > 0) std::fill(slots_.begin(), slots_.end(), kEmptySlot);
+  int_keys_ = 0;
   bytes_map_.clear();
   null_id_ = -1;
   bytes_key_payload_ = 0;
 }
 
 // ---------------- JoinHashTable ----------------
-
-uint64_t HashKey64(uint64_t x) {
-  // splitmix64 finalizer: cheap, well-mixed high bits for radix routing.
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 uint64_t HashKeyBytes(std::string_view s) {
   // FNV-1a, then one splitmix round so the *high* bits (the radix) mix.

@@ -1,4 +1,5 @@
-// Key encoding and chained hash tables shared by hash join and aggregation.
+// Key encoding, the flat key -> dense-id map and the join build table
+// shared by hash join and aggregation.
 #ifndef BDCC_EXEC_HASH_TABLE_H_
 #define BDCC_EXEC_HASH_TABLE_H_
 
@@ -164,38 +165,76 @@ class KeyEncoder {
   mutable std::vector<TranslateCache> caches_;
 };
 
-/// \brief Chained hash table mapping keys to dense ids 0..n-1 (insertion
-/// order). Ids index the caller's payload arrays. An optional dedicated
-/// null-key id (NullId) shares the dense id space, so aggregations can
-/// keep SQL's "NULLs group together" semantics on the int fast paths; in
-/// int mode the byte-keyed overloads remain usable as an exact side
-/// channel for NULL-bearing composite tuples (both key spaces share the
-/// dense id sequence).
+/// Stable 64-bit mixers: radix routing of join partitions and DenseKeyMap
+/// slots. Build and probe must agree bit-for-bit, so these are fixed
+/// functions, not std::hash.
+inline uint64_t HashKey64(uint64_t x) {
+  // splitmix64 finalizer: every output bit depends on every input bit, so
+  // both the high bits (radix) and the low bits (slot) are well mixed.
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+uint64_t HashKeyBytes(std::string_view s);
+
+/// \brief Maps keys to dense ids 0..n-1 in insertion order. Ids index the
+/// caller's payload arrays. An optional dedicated null-key id (NullId)
+/// shares the dense id space, so aggregations can keep SQL's "NULLs group
+/// together" semantics on the int fast paths; in int mode the byte-keyed
+/// overloads remain usable as an exact side channel for NULL-bearing
+/// composite tuples (all three share the dense id sequence).
+///
+/// Int keys use flat open addressing: each key is stored once in an
+/// id-indexed array, and a power-of-two slot array of uint32 ids is probed
+/// linearly from the low bits of HashKey64(key) at load <= 1/2, so a hit
+/// usually costs one slot read and one key read. A key costs 8 B plus 2-4
+/// slots of 4 B: 16-32 B per key counting the key array's growth slack.
+/// Byte keys (a node-based side map) and NullId take a placeholder key
+/// entry that no slot references. Clear() keeps both arrays' capacity for
+/// the next partition.
 class DenseKeyMap {
  public:
   /// Existing id or -1.
-  int64_t Find(int64_t key) const;
+  int64_t Find(int64_t key) const {
+    if (int_keys_ == 0) return -1;
+    size_t mask = slots_.size() - 1;
+    for (size_t s = HashKey64(static_cast<uint64_t>(key)) & mask;;
+         s = (s + 1) & mask) {
+      uint32_t id = slots_[s];
+      if (id == kEmptySlot) return -1;
+      if (keys_[id] == key) return id;
+    }
+  }
   int64_t Find(const std::string& key) const;
   /// Existing id, or insert and return the fresh one (out_inserted flags it).
   int64_t FindOrInsert(int64_t key, bool* out_inserted);
   int64_t FindOrInsert(const std::string& key, bool* out_inserted);
-  /// Pre-size for ~n keys (partitioned builds know their row counts up
-  /// front; skips the incremental rehash storms a serial build pays).
+  /// Pre-size for ~n int keys (partitioned builds know their row counts up
+  /// front; skips the incremental regrowth a serial build pays).
   void Reserve(size_t n);
   /// Dense id reserved for NULL keys (allocated on first use).
   int64_t NullId(bool* out_inserted);
 
-  size_t size() const {
-    return int_map_.size() + bytes_map_.size() + (null_id_ >= 0 ? 1 : 0);
-  }
-  /// Rough heap footprint for memory accounting.
+  size_t size() const { return keys_.size(); }
+  /// Heap footprint (capacities) for memory accounting.
   uint64_t MemoryBytes() const;
+  /// Forget every key; keeps capacity.
   void Clear();
 
  private:
-  int64_t NextId() const { return static_cast<int64_t>(size()); }
+  static constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
+  static constexpr size_t kMinSlots = 16;
 
-  std::unordered_map<int64_t, int64_t> int_map_;
+  /// Next dense id, checked to fit a slot (and a uint32 group id).
+  uint32_t NextId() const;
+  /// Resize the slot array to `slots` (a power of two) and re-place every
+  /// int key.
+  void Rehash(size_t slots);
+
+  std::vector<int64_t> keys_;    // by id; placeholders for byte/null ids
+  std::vector<uint32_t> slots_;  // ids, kEmptySlot when free
+  size_t int_keys_ = 0;
   std::unordered_map<std::string, int64_t> bytes_map_;
   int64_t null_id_ = -1;
   uint64_t bytes_key_payload_ = 0;
@@ -219,12 +258,6 @@ void EncodeAndAssignGroupsCols(const KeyEncoder& encoder,
                                size_t num_rows,
                                std::vector<uint32_t>* group_of_row,
                                const std::function<void(size_t)>& on_new_group);
-
-/// Stable 64-bit mixers used to route keys to radix partitions. Build and
-/// probe must agree bit-for-bit, so these are fixed functions, not
-/// std::hash.
-uint64_t HashKey64(uint64_t x);
-uint64_t HashKeyBytes(std::string_view s);
 
 /// \brief One build row handed to ForEachMatch callbacks: the partition's
 /// materialized columns plus the row index within them. In serial
@@ -319,6 +352,10 @@ class JoinHashTable {
   /// Heap bytes held (columns + chains + key maps) for memory accounting;
   /// includes scatter buffers while a partitioned build is in flight.
   uint64_t MemoryBytes() const;
+  /// Drop every row and return to serial mode. The schema, the key encoder
+  /// (and so its canonical string space) and the column dictionaries stay,
+  /// so probers bound to this table remain valid and the table can be
+  /// refilled — SandwichHashJoin rebuilds it per group this way.
   void Clear();
 
   static constexpr int kMaxPartitionBits = 6;  // <= 64 partitions

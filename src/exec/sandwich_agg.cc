@@ -28,7 +28,7 @@ Status SandwichAgg::Open(ExecContext* ctx) {
   for (const Field& f : core_.output_fields()) fields.push_back(f);
   schema_ = Schema(std::move(fields));
 
-  tracked_ = std::make_unique<TrackedMemory>(ctx->memory());
+  tracked_ = std::make_unique<TrackedMemory>(ctx->memory(), "sandwich-agg");
   key_map_.Clear();
   current_partition_ = -1;
   input_done_ = false;
@@ -95,7 +95,9 @@ Result<Batch> SandwichAgg::Next(ExecContext* ctx) {
     for (const ColumnVector& v : key_store_) {
       store_bytes += ColumnVectorBytes(v);
     }
-    tracked_->Set(key_map_.MemoryBytes() + store_bytes + core_.MemoryBytes());
+    BDCC_RETURN_NOT_OK(ctx->ChargeMemory(
+        tracked_.get(),
+        key_map_.MemoryBytes() + store_bytes + core_.MemoryBytes()));
   }
   if (ready_.empty()) return Batch::Empty();
   Batch out = std::move(ready_.front());
@@ -105,7 +107,7 @@ Result<Batch> SandwichAgg::Next(ExecContext* ctx) {
 
 void SandwichAgg::Close(ExecContext* ctx) {
   child_->Close(ctx);
-  key_map_.Clear();
+  key_map_ = DenseKeyMap();  // release the capacity Clear() keeps
   core_.Reset();
   if (tracked_) tracked_->Clear();
 }

@@ -28,25 +28,29 @@ class SandwichHashJoin : public Operator {
                    std::vector<std::string> left_keys,
                    std::vector<std::string> right_keys, JoinType type);
 
-  const Schema& schema() const override { return schema_; }
+  const Schema& schema() const override { return prober_.schema(); }
   Status Open(ExecContext* ctx) override;
   Result<Batch> Next(ExecContext* ctx) override;
   void Close(ExecContext* ctx) override;
+  /// Consumers hand fully-consumed outputs back; their lane allocations
+  /// seed the next probe's output (as in HashJoin).
+  void Recycle(Batch&& batch) override;
 
  private:
   Status PullRight(ExecContext* ctx);
   /// Build the first right group with id >= target (skipping earlier ones).
   Status LoadRightGroupUpTo(int64_t target, ExecContext* ctx);
-  Result<Batch> ProbeBatch(const Batch& in);
 
   OperatorPtr left_, right_;
   std::vector<std::string> left_keys_, right_keys_;
   JoinType type_;
-  Schema schema_;
 
+  // Holds one right group at a time; Clear() between groups keeps the
+  // build encoder, so prober_ stays bound to table_ for the whole run.
   JoinHashTable table_;
-  KeyEncoder probe_encoder_;
+  HashJoinProber prober_;
   std::unique_ptr<TrackedMemory> tracked_;
+  std::vector<Batch> recycled_;
 
   Batch pending_right_;
   bool have_pending_right_ = false;

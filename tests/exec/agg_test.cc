@@ -164,6 +164,22 @@ TEST(SandwichAggTest, RejectsUntaggedInput) {
   EXPECT_FALSE(agg.Next(&ctx).ok());
 }
 
+TEST(SandwichAggTest, RefusesUnderTinyBudget) {
+  std::vector<int32_t> keys(2000);
+  std::iota(keys.begin(), keys.end(), 0);
+  ExecContext ctx(nullptr);
+  ctx.memory()->set_limit(1024);
+  SandwichAgg agg(Src({B(keys, std::vector<double>(keys.size()), 0)}), {"k"},
+                  {AggSum(Col("v"), "s")});
+  auto result = CollectAll(&agg, &ctx);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsResourceExhausted())
+      << result.status().ToString();
+  EXPECT_NE(result.status().ToString().find("sandwich-agg"), std::string::npos);
+  EXPECT_GE(ctx.stats()->budget_denials, 1u);
+  EXPECT_EQ(ctx.memory()->current_bytes(), 0u);
+}
+
 TEST(AggEquivalenceTest, StrategiesAgreeProperty) {
   Rng rng(55);
   for (int trial = 0; trial < 8; ++trial) {

@@ -1,5 +1,11 @@
 #include "exec/hash_table.h"
 
+#include <algorithm>
+#include <climits>
+#include <random>
+#include <string>
+#include <unordered_map>
+
 #include "gtest/gtest.h"
 
 namespace bdcc {
@@ -247,6 +253,190 @@ TEST(DenseKeyMapTest, BytesMode) {
   EXPECT_EQ(map.FindOrInsert(std::string("def"), &inserted), 1);
   EXPECT_EQ(map.Find(std::string("abc")), 0);
   EXPECT_GT(map.MemoryBytes(), 0u);
+}
+
+// ---- DenseKeyMap properties, against a std::unordered_map reference ----
+
+// Inserts `key` into both maps and checks the id and the inserted flag
+// (ids are dense: a fresh key gets the reference's size).
+void InsertBoth(int64_t key, DenseKeyMap* map,
+                std::unordered_map<int64_t, int64_t>* ref) {
+  bool inserted;
+  int64_t id = map->FindOrInsert(key, &inserted);
+  auto [it, ref_inserted] =
+      ref->emplace(key, static_cast<int64_t>(ref->size()));
+  ASSERT_EQ(inserted, ref_inserted) << "key " << key;
+  ASSERT_EQ(id, it->second) << "key " << key;
+}
+
+void ExpectSameContents(const DenseKeyMap& map,
+                        const std::unordered_map<int64_t, int64_t>& ref) {
+  ASSERT_EQ(map.size(), ref.size());
+  for (const auto& [key, id] : ref) ASSERT_EQ(map.Find(key), id) << key;
+}
+
+// A map holding only int keys stays within 32 B per key (plus the minimum
+// slot array): keys once by id, at most 4 slots of 4 B per key.
+constexpr uint64_t kMaxBytesPerIntKey = 32;
+constexpr uint64_t kMinTableBytes = 64;
+
+TEST(DenseKeyMapPropertyTest, RandomKeysThroughSeveralGrowths) {
+  std::mt19937_64 rng(20130408);
+  DenseKeyMap map;
+  std::unordered_map<int64_t, int64_t> ref;
+  size_t next_check = 16;
+  for (int i = 0; i < 100000; ++i) {
+    // Half the draws from a small domain (repeats), half from all 64 bits.
+    int64_t key = (rng() & 1) ? static_cast<int64_t>(rng() % 50000)
+                              : static_cast<int64_t>(rng());
+    ASSERT_NO_FATAL_FAILURE(InsertBoth(key, &map, &ref));
+    ASSERT_LE(map.MemoryBytes(),
+              kMaxBytesPerIntKey * map.size() + kMinTableBytes)
+        << "at " << map.size() << " keys";
+    if (map.size() >= next_check) {
+      ASSERT_NO_FATAL_FAILURE(ExpectSameContents(map, ref));
+      next_check *= 2;
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(ExpectSameContents(map, ref));
+  EXPECT_GT(map.size(), 60000u);  // grew well past several doublings
+  // Absent keys miss.
+  for (int i = 0; i < 10000; ++i) {
+    int64_t key = static_cast<int64_t>(rng());
+    EXPECT_EQ(map.Find(key), ref.count(key) ? ref.at(key) : -1);
+  }
+}
+
+TEST(DenseKeyMapPropertyTest, ExtremeKeys) {
+  DenseKeyMap map;
+  std::unordered_map<int64_t, int64_t> ref;
+  const int64_t keys[] = {INT64_MIN, INT64_MAX, -1, 0, 1,
+                          INT64_MIN + 1, 0xFFFFFFFFll, INT64_MAX - 1};
+  EXPECT_EQ(map.Find(0), -1);  // empty map
+  for (int round = 0; round < 2; ++round) {
+    for (int64_t k : keys) ASSERT_NO_FATAL_FAILURE(InsertBoth(k, &map, &ref));
+  }
+  ASSERT_NO_FATAL_FAILURE(ExpectSameContents(map, ref));
+  EXPECT_EQ(map.size(), 8u);
+  EXPECT_EQ(map.Find(INT64_MIN), 0);
+  EXPECT_EQ(map.Find(INT64_MAX), 1);
+  EXPECT_EQ(map.Find(-1), 2);
+  EXPECT_EQ(map.Find(0), 3);
+  EXPECT_EQ(map.Find(2), -1);
+}
+
+TEST(DenseKeyMapPropertyTest, KeysDifferingOnlyInHighBits) {
+  // kPacked puts the first key column in the high 32 bits: keys that agree
+  // on every low bit must still spread over the slots.
+  DenseKeyMap map;
+  std::unordered_map<int64_t, int64_t> ref;
+  for (int64_t hi = 0; hi < 4096; ++hi) {
+    ASSERT_NO_FATAL_FAILURE(InsertBoth((hi << 32) | 7, &map, &ref));
+  }
+  for (int64_t hi = 0; hi < 4096; ++hi) {
+    ASSERT_NO_FATAL_FAILURE(InsertBoth((hi << 32) | 7, &map, &ref));
+  }
+  ASSERT_NO_FATAL_FAILURE(ExpectSameContents(map, ref));
+  EXPECT_EQ(map.Find(7 | (int64_t{4096} << 32)), -1);
+  EXPECT_EQ(map.Find(8), -1);
+  EXPECT_LE(map.MemoryBytes(), kMaxBytesPerIntKey * map.size() + kMinTableBytes);
+}
+
+TEST(DenseKeyMapPropertyTest, ClearThenReuseSmaller) {
+  std::mt19937_64 rng(7);
+  DenseKeyMap map;
+  std::unordered_map<int64_t, int64_t> ref;
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_NO_FATAL_FAILURE(
+        InsertBoth(static_cast<int64_t>(rng()), &map, &ref));
+  }
+  uint64_t grown = map.MemoryBytes();
+  std::vector<int64_t> old_keys;
+  for (const auto& kv : ref) old_keys.push_back(kv.first);
+  for (int round = 0; round < 3; ++round) {
+    map.Clear();
+    EXPECT_EQ(map.size(), 0u);
+    EXPECT_EQ(map.MemoryBytes(), grown);  // capacity kept
+    for (int64_t k : old_keys) ASSERT_EQ(map.Find(k), -1);
+    ref.clear();
+    for (int i = 0; i < 300; ++i) {
+      ASSERT_NO_FATAL_FAILURE(
+          InsertBoth(static_cast<int64_t>(rng() % 200), &map, &ref));
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectSameContents(map, ref));
+    EXPECT_EQ(map.MemoryBytes(), grown);  // no regrowth below capacity
+  }
+}
+
+TEST(DenseKeyMapPropertyTest, ReserveThenInsert) {
+  DenseKeyMap map;
+  std::unordered_map<int64_t, int64_t> ref;
+  map.Reserve(5000);
+  uint64_t reserved = map.MemoryBytes();
+  EXPECT_LE(reserved, kMaxBytesPerIntKey * 5000 + kMinTableBytes);
+  for (int64_t k = 0; k < 5000; ++k) {
+    ASSERT_NO_FATAL_FAILURE(InsertBoth(k * 4099 - 77, &map, &ref));
+  }
+  ASSERT_NO_FATAL_FAILURE(ExpectSameContents(map, ref));
+  EXPECT_EQ(map.MemoryBytes(), reserved);  // sized once, never regrown
+  map.Reserve(10);                         // never shrinks
+  EXPECT_EQ(map.MemoryBytes(), reserved);
+  ASSERT_NO_FATAL_FAILURE(ExpectSameContents(map, ref));
+}
+
+TEST(DenseKeyMapPropertyTest, NullAndByteIdsShareOneDenseSequence) {
+  std::mt19937_64 rng(99);
+  DenseKeyMap map;
+  bool inserted;
+  // Placeholder key entries of byte/null ids are not findable as int keys.
+  EXPECT_EQ(map.NullId(&inserted), 0);
+  EXPECT_EQ(map.FindOrInsert(std::string("x"), &inserted), 1);
+  EXPECT_EQ(map.Find(int64_t{0}), -1);
+  EXPECT_EQ(map.FindOrInsert(int64_t{0}, &inserted), 2);
+  EXPECT_TRUE(inserted);
+  map.Clear();
+
+  std::unordered_map<int64_t, int64_t> int_ref;
+  std::unordered_map<std::string, int64_t> byte_ref;
+  int64_t null_ref = -1;
+  int64_t next_id = 0;
+  for (int i = 0; i < 20000; ++i) {
+    uint64_t draw = rng() % 10;
+    if (draw == 0) {
+      int64_t id = map.NullId(&inserted);
+      ASSERT_EQ(inserted, null_ref < 0);
+      if (null_ref < 0) null_ref = next_id++;
+      ASSERT_EQ(id, null_ref);
+    } else if (draw <= 3) {
+      std::string key = "k" + std::to_string(rng() % 3000);
+      int64_t id = map.FindOrInsert(key, &inserted);
+      auto [it, fresh] = byte_ref.emplace(key, next_id);
+      ASSERT_EQ(inserted, fresh);
+      if (fresh) ++next_id;
+      ASSERT_EQ(id, it->second);
+    } else {
+      int64_t key = static_cast<int64_t>(rng() % 5000);
+      int64_t id = map.FindOrInsert(key, &inserted);
+      auto [it, fresh] = int_ref.emplace(key, next_id);
+      ASSERT_EQ(inserted, fresh);
+      if (fresh) ++next_id;
+      ASSERT_EQ(id, it->second);
+    }
+    ASSERT_EQ(map.size(), static_cast<size_t>(next_id));
+  }
+  // Every id 0..n-1 is used exactly once across the three key spaces.
+  std::vector<int> seen(next_id, 0);
+  for (const auto& [key, id] : int_ref) {
+    ASSERT_EQ(map.Find(key), id);
+    ++seen[id];
+  }
+  for (const auto& [key, id] : byte_ref) {
+    ASSERT_EQ(map.Find(key), id);
+    ++seen[id];
+  }
+  ASSERT_GE(null_ref, 0);
+  ++seen[null_ref];
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), next_id);
 }
 
 TEST(JoinHashTableTest, ChainsDuplicates) {

@@ -254,6 +254,28 @@ TEST(SandwichJoinTest, MemoryPeaksAtLargestGroup) {
       << "sandwich=" << sandwich_peak << " hash=" << hash_peak;
 }
 
+TEST(SandwichJoinTest, GroupBuildRefusesUnderTinyBudget) {
+  std::vector<Batch> build_batches, probe_batches;
+  for (int g = 0; g < 2; ++g) {
+    std::vector<int32_t> keys(1000);
+    std::iota(keys.begin(), keys.end(), g * 1000);
+    build_batches.push_back(RowsBatch(keys, std::vector<int64_t>(1000), g));
+    probe_batches.push_back(RowsBatch({g * 1000 + 5}, {1}, g));
+  }
+  ExecContext ctx(nullptr);
+  ctx.memory()->set_limit(1024);
+  SandwichHashJoin join(Left(probe_batches), Right(build_batches), {"lk"},
+                        {"rk"}, JoinType::kInner);
+  auto result = CollectAll(&join, &ctx);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsResourceExhausted())
+      << result.status().ToString();
+  EXPECT_NE(result.status().ToString().find("sandwich-join build"),
+            std::string::npos);
+  EXPECT_GE(ctx.stats()->budget_denials, 1u);
+  EXPECT_EQ(ctx.memory()->current_bytes(), 0u);
+}
+
 TEST(JoinEquivalenceTest, SandwichMatchesHashJoinProperty) {
   // Random co-grouped data: results must agree across strategies.
   Rng rng(31);
