@@ -139,9 +139,10 @@ void RunMicroFilter(benchmark::State& state, int64_t permille, bool sel_path,
 // one domain-max sentinel so zone maps can neither prune nor prove
 // all-match — the sweep measures span *evaluation*, not zone pruning
 // (micro_scan's zero-copy sweep covers the pruning story). Each table is
-// swept codec x selectivity x threads x EncodedEval mode — kDecode is the
-// flat-decode baseline the direct path (kAuto) is judged against — and
-// every config emits one JsonLine (BENCH_pr6.json commits the trajectory).
+// swept codec x selectivity x threads x EncodedEval mode — the flat path
+// (kOff) is the baseline the direct path (kAuto) is judged against — and
+// every config emits one JsonLine (BENCH_pr6.json commits the trajectory;
+// its "decode" rows have no mode here to match).
 
 constexpr uint64_t kCodecRows = 400000;
 constexpr int64_t kNarrowDomain = 1 << 20;
@@ -307,7 +308,6 @@ void RunCodecSweep(int max_threads) {
     exec::EncodedEval mode;
   };
   const Mode modes[] = {{"flat", exec::EncodedEval::kOff},
-                        {"decode", exec::EncodedEval::kDecode},
                         {"direct", exec::EncodedEval::kAuto}};
   for (const CodecTable& ct : CodecTables()) {
     for (int pct : {1, 10, 50}) {

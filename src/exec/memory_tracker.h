@@ -150,15 +150,12 @@ class TrackedMemory {
   ~TrackedMemory() { Clear(); }
   BDCC_DISALLOW_COPY_AND_ASSIGN(TrackedMemory);
 
-  /// Adjust the registered size to `bytes`, bypassing the budget (shrink
-  /// paths and legacy callers).
-  void Set(uint64_t bytes) {
+  /// Lower the registered size to `bytes`. Growth goes only through
+  /// TrySet (or ExecContext::ChargeMemory), which checks the budget.
+  void Shrink(uint64_t bytes) {
     if (tracker_ == nullptr) return;
-    if (bytes > bytes_) {
-      tracker_->Allocate(bytes - bytes_);
-    } else {
-      tracker_->Release(bytes_ - bytes, name_);
-    }
+    BDCC_CHECK(bytes <= bytes_);
+    tracker_->Release(bytes_ - bytes, name_);
     bytes_ = bytes;
   }
 
@@ -168,7 +165,7 @@ class TrackedMemory {
   /// delta, and the query's high-water mark.
   Status TrySet(uint64_t bytes) {
     if (tracker_ == nullptr || bytes <= bytes_) {
-      Set(bytes);
+      Shrink(bytes);
       return Status::OK();
     }
     uint64_t delta = bytes - bytes_;
@@ -189,7 +186,7 @@ class TrackedMemory {
     return Status::OK();
   }
 
-  void Clear() { Set(0); }
+  void Clear() { Shrink(0); }
   uint64_t bytes() const { return bytes_; }
   const char* name() const { return name_; }
 

@@ -104,7 +104,7 @@ Result<Batch> ParallelUnion::Next(ExecContext* ctx) {
   Batch out = std::move(ready_.front());
   ready_.pop_front();
   ready_bytes_ -= BatchBytes(out);
-  tracked_ready_->Set(ready_bytes_);
+  tracked_ready_->Shrink(ready_bytes_);
   return out;
 }
 
@@ -486,7 +486,7 @@ Result<Batch> ParallelHashJoin::Next(ExecContext* ctx) {
   Batch out = std::move(ready_.front());
   ready_.pop_front();
   ready_bytes_ -= BatchBytes(out);
-  tracked_ready_->Set(ready_bytes_);
+  tracked_ready_->Shrink(ready_bytes_);
   return out;
 }
 

@@ -50,7 +50,7 @@ Status SandwichHashJoin::LoadRightGroupUpTo(int64_t target, ExecContext* ctx) {
   if (current_group_ >= target) return Status::OK();
   // Discard the stale group.
   table_.Clear();
-  tracked_->Set(0);
+  tracked_->Clear();
   current_group_ = -1;
 
   // Skip right batches below the target group.

@@ -84,7 +84,7 @@ void ScanFilterState::EvalSpan(const Table& table, uint64_t begin,
     const Column& col = table.column(p.col);
     // i32-backed lanes may carry an encoded mirror; honor the mode.
     const EncodedLane* enc =
-        (encoded_eval_ != EncodedEval::kOff && p.type != TypeId::kInt64 &&
+        (encoded_eval_ == EncodedEval::kAuto && p.type != TypeId::kInt64 &&
          p.type != TypeId::kFloat64)
             ? col.encoded()
             : nullptr;
@@ -99,11 +99,7 @@ void ScanFilterState::EvalSpan(const Table& table, uint64_t begin,
         break;
       case TypeId::kString: {
         const uint8_t* ok = p.code_ok.data();
-        if (enc != nullptr && encoded_eval_ == EncodedEval::kDecode) {
-          decoded_.resize(n);
-          enc->DecodeSpan(col.i32().data(), begin, end, decoded_.data());
-          kernels::VerdictMaskI32(decoded_.data(), n, ok, mask_.data());
-        } else if (enc != nullptr) {
+        if (enc != nullptr) {
           EncodedLane::SpanVerdict v = enc->VerdictMask(
               col.i32().data(), begin, end, ok, p.code_ok.size(),
               mask_.data());
@@ -117,12 +113,7 @@ void ScanFilterState::EvalSpan(const Table& table, uint64_t begin,
         break;
       }
       default: {
-        if (enc != nullptr && encoded_eval_ == EncodedEval::kDecode) {
-          decoded_.resize(n);
-          enc->DecodeSpan(col.i32().data(), begin, end, decoded_.data());
-          kernels::RangeMaskI32(decoded_.data(), n, p.lo_i32, p.hi_i32,
-                                mask_.data());
-        } else if (enc != nullptr) {
+        if (enc != nullptr) {
           EncodedLane::SpanVerdict v =
               enc->RangeMask(col.i32().data(), begin, end, p.lo_i32,
                              p.hi_i32, mask_.data());
@@ -335,129 +326,139 @@ size_t EmitChunk(const Table& table, const std::vector<int>& col_idx,
   return n;
 }
 
-Status ResolveScan(const Table& table, const std::vector<std::string>& names,
-                   const std::vector<ScanPredicate>& preds,
-                   std::vector<int>* col_idx,
-                   std::vector<std::pair<int, ValueRange>>* bound_preds,
-                   Schema* schema) {
-  col_idx->clear();
-  bound_preds->clear();
+// Zone predicates a MinMax zone of `table` may satisfy / provably satisfies
+// for every row (callers check HasZoneMaps()).
+bool ZoneMayMatch(const Table& table,
+                  const std::vector<std::pair<int, ValueRange>>& preds,
+                  uint64_t zone) {
+  for (const auto& [col, range] : preds) {
+    if (!table.zone_map(col).MayMatch(zone, range)) return false;
+  }
+  return true;
+}
+
+bool ZoneAllMatch(const Table& table,
+                  const std::vector<std::pair<int, ValueRange>>& preds,
+                  uint64_t zone) {
+  for (const auto& [col, range] : preds) {
+    if (!table.zone_map(col).AllMatch(zone, range)) return false;
+  }
+  return true;
+}
+
+// Skip span for legs that may skip any zone MinMax excludes.
+constexpr uint64_t kAnyZone = std::numeric_limits<uint64_t>::max();
+
+}  // namespace
+
+// ---------------- TableScan ----------------
+
+Status TableScan::OpenOn(const Table& table) {
+  cursor_ = 0;
+  morsel_pos_ = morsels_.offset;
+  read_end_ = 0;  // row 0 starts a zone, so no chunk continues a visit yet
+  filter_.ClearRecycled();
+  if (row_filter_) {
+    BDCC_RETURN_NOT_OK(filter_.Bind(table, preds_));
+  }
+  col_idx_.clear();
+  bound_preds_.clear();
   std::vector<Field> fields;
-  for (const std::string& name : names) {
+  for (const std::string& name : col_names_) {
     BDCC_ASSIGN_OR_RETURN(int idx, table.ColumnIndex(name));
-    col_idx->push_back(idx);
+    col_idx_.push_back(idx);
     fields.push_back(Field{name, table.column(idx).type()});
   }
-  for (const ScanPredicate& p : preds) {
+  for (const ScanPredicate& p : preds_) {
     BDCC_ASSIGN_OR_RETURN(int idx, table.ColumnIndex(p.column));
-    bound_preds->push_back({idx, p.range});
+    bound_preds_.push_back({idx, p.range});
   }
-  *schema = Schema(std::move(fields));
+  schema_ = Schema(std::move(fields));
   return Status::OK();
 }
 
-}  // namespace
+inline Status TableScan::ScanChunk(const Table& data, uint64_t limit,
+                                   uint64_t skip_begin, uint64_t skip_end,
+                                   bool views, ExecContext* ctx,
+                                   uint64_t* cursor, Emit* emit) {
+  uint64_t begin = *cursor;
+  uint64_t end = limit;
+  bool zone_all_match = false;
+  if (data.HasZoneMaps()) {
+    uint64_t zone = begin / data.zone_rows();
+    uint64_t zone_begin = zone * data.zone_rows();
+    uint64_t zone_end = zone_begin + data.zone_rows();
+    if (zone_begin >= skip_begin && zone_end <= skip_end &&
+        !ZoneMayMatch(data, bound_preds_, zone)) {
+      ctx->stats()->zones_skipped += 1;
+      *cursor = zone_end;
+      return Status::OK();
+    }
+    if (begin == zone_begin || begin != read_end_) {
+      ctx->stats()->zones_read += 1;
+    }
+    end = std::min(end, zone_end);
+    zone_all_match = ZoneAllMatch(data, bound_preds_, zone);
+  }
+  bool filtering = row_filter_ && filter_.active();
+  // Zone maps proving every row passes short-circuit the chunk past
+  // predicate evaluation (and any encoded-lane work) entirely.
+  if (filtering && zone_all_match) ctx->stats()->decodes_skipped += 1;
+  if (BDCC_UNLIKELY(fault::ShouldFail(fault::kScanDecode))) {
+    ctx->stats()->faults_injected += 1;
+    return Status::IOError("injected decode fault (scan chunk)");
+  }
+  read_end_ = end;
+  *cursor = end;
+  if (views && emit->appended == 0 && end - begin >= kMinViewRows &&
+      (!filtering || zone_all_match)) {
+    ChargeSpan(data, col_idx_, begin, end, ctx);
+    MakeViews(data, col_idx_, begin, end, &emit->out);
+    ctx->stats()->chunks_zero_copy += 1;
+    emit->view = true;
+    return Status::OK();
+  }
+  emit->appended +=
+      EmitChunk(data, col_idx_, begin, end, filtering && !zone_all_match,
+                &filter_, ctx, &emit->out, &emit->selb, &emit->rel_scratch);
+  return Status::OK();
+}
 
 // ---------------- PlainScan ----------------
 
 PlainScan::PlainScan(const Table* table, std::vector<std::string> columns,
                      std::vector<ScanPredicate> zone_predicates)
-    : table_(table),
-      col_names_(std::move(columns)),
-      preds_(std::move(zone_predicates)) {}
+    : TableScan(std::move(columns), std::move(zone_predicates)),
+      table_(table) {}
 
-Status PlainScan::Open(ExecContext* ctx) {
-  cursor_ = 0;
-  morsel_idx_ = morsels_.offset;
-  last_zone_counted_ = ~uint64_t{0};
-  filter_.ClearRecycled();
-  filter_.set_encoded_eval(encoded_eval_);
-  if (row_filter_) {
-    BDCC_RETURN_NOT_OK(filter_.Bind(*table_, preds_));
-  }
-  return ResolveScan(*table_, col_names_, preds_, &col_idx_, &bound_preds_,
-                     &schema_);
-}
-
-bool PlainScan::ZoneAllowed(uint64_t zone) const {
-  if (!table_->HasZoneMaps()) return true;
-  for (const auto& [col, range] : bound_preds_) {
-    if (!table_->zone_map(col).MayMatch(zone, range)) return false;
-  }
-  return true;
-}
-
-bool PlainScan::ZoneAllMatch(uint64_t zone) const {
-  if (!table_->HasZoneMaps()) return false;
-  for (const auto& [col, range] : bound_preds_) {
-    if (!table_->zone_map(col).AllMatch(zone, range)) return false;
-  }
-  return true;
-}
+Status PlainScan::Open(ExecContext* ctx) { return OpenOn(*table_); }
 
 Result<Batch> PlainScan::Next(ExecContext* ctx) {
   uint64_t rows = table_->num_rows();
-  uint32_t zone_rows = table_->HasZoneMaps() ? table_->zone_rows() : 0;
-  Batch out = filter_.TakeBatch(*table_, col_idx_, schema_, ctx->batch_size());
-  SelBuilder selb;
-  std::vector<uint32_t> rel_scratch;
-  size_t appended = 0;
-  while (appended < ctx->batch_size()) {
+  Emit emit(filter_.TakeBatch(*table_, col_idx_, schema_, ctx->batch_size()));
+  while (emit.appended < ctx->batch_size()) {
     BDCC_RETURN_NOT_OK(ctx->CheckLifecycle());
     uint64_t limit = rows;
     if (morsels_.valid()) {
       // Walk this clone's strided morsels; a batch may span morsels.
-      while (morsel_idx_ < morsels_.morsels->size()) {
-        const Morsel& m = (*morsels_.morsels)[morsel_idx_];
+      while (morsel_pos_ < morsels_.morsels->size()) {
+        const Morsel& m = (*morsels_.morsels)[morsel_pos_];
         if (cursor_ < m.begin) cursor_ = m.begin;
         if (cursor_ < m.end) break;
-        morsel_idx_ += morsels_.stride;
+        morsel_pos_ += morsels_.stride;
       }
-      if (morsel_idx_ >= morsels_.morsels->size()) break;
-      limit = (*morsels_.morsels)[morsel_idx_].end;
+      if (morsel_pos_ >= morsels_.morsels->size()) break;
+      limit = (*morsels_.morsels)[morsel_pos_].end;
     } else if (cursor_ >= rows) {
       break;
     }
-    uint64_t end = std::min(limit, cursor_ + (ctx->batch_size() - appended));
-    bool zone_all_match = false;
-    if (zone_rows != 0) {
-      uint64_t zone = cursor_ / zone_rows;
-      if (!ZoneAllowed(zone)) {
-        ctx->stats()->zones_skipped += 1;
-        cursor_ = (zone + 1) * zone_rows;
-        continue;
-      }
-      if (zone != last_zone_counted_) {
-        ctx->stats()->zones_read += 1;
-        last_zone_counted_ = zone;
-      }
-      end = std::min<uint64_t>(end, (zone + 1) * zone_rows);
-      zone_all_match = ZoneAllMatch(zone);
-    }
-    bool filtering = row_filter_ && filter_.active();
-    // Zone maps proving every row passes short-circuit the chunk past
-    // predicate evaluation (and any encoded-lane work) entirely.
-    if (filtering && zone_all_match) ctx->stats()->decodes_skipped += 1;
-    if (BDCC_UNLIKELY(fault::ShouldFail(fault::kScanDecode))) {
-      ctx->stats()->faults_injected += 1;
-      return Status::IOError("injected decode fault (PlainScan chunk)");
-    }
-    uint64_t n = end - cursor_;
-    if (zero_copy_ && appended == 0 && n >= kMinViewRows &&
-        (!filtering || zone_all_match)) {
-      ChargeSpan(*table_, col_idx_, cursor_, end, ctx);
-      MakeViews(*table_, col_idx_, cursor_, end, &out);
-      ctx->stats()->chunks_zero_copy += 1;
-      cursor_ = end;
-      return out;  // single-chunk borrowed batch
-    }
-    appended += EmitChunk(*table_, col_idx_, cursor_, end,
-                          filtering && !zone_all_match, &filter_, ctx, &out,
-                          &selb, &rel_scratch);
-    cursor_ = end;
+    limit = std::min(limit, cursor_ + (ctx->batch_size() - emit.appended));
+    BDCC_RETURN_NOT_OK(ScanChunk(*table_, limit, 0, kAnyZone, zero_copy_, ctx,
+                                 &cursor_, &emit));
+    if (emit.view) return std::move(emit.out);  // single-chunk borrowed batch
   }
-  selb.Finish(&out);
-  return out;  // empty == end-of-stream
+  emit.selb.Finish(&emit.out);
+  return std::move(emit.out);  // empty == end-of-stream
 }
 
 // ---------------- BdccScan ----------------
@@ -466,22 +467,18 @@ BdccScan::BdccScan(const BdccTable* table, std::vector<std::string> columns,
                    std::vector<GroupRange> ranges,
                    std::vector<ScanPredicate> zone_predicates,
                    std::vector<GroupSpec> grouping, uint64_t pruned_groups)
-    : table_(table),
-      col_names_(std::move(columns)),
+    : TableScan(std::move(columns), std::move(zone_predicates)),
+      table_(table),
       ranges_(std::move(ranges)),
-      preds_(std::move(zone_predicates)),
       grouping_(std::move(grouping)),
       pruned_groups_(pruned_groups) {}
 
 Status BdccScan::Open(ExecContext* ctx) {
   range_idx_ = 0;
-  cursor_ = 0;
-  morsel_pos_ = morsels_.offset;
   delta_idx_ = 0;
   delta_cursor_ = 0;
   delta_bound_ = -1;
   main_done_ = false;
-  filter_.ClearRecycled();
   // Morsel restriction addresses ranges by index, so grouped scans (which
   // sort/coalesce below) must use group-id chunking instead.
   BDCC_CHECK(!morsels_.valid() || grouping_.empty());
@@ -489,12 +486,7 @@ Status BdccScan::Open(ExecContext* ctx) {
   // planner must not hand a grouped scan a delta leg).
   BDCC_CHECK(delta_chunks_.empty() || grouping_.empty());
   ctx->stats()->groups_pruned += pruned_groups_;
-  filter_.set_encoded_eval(encoded_eval_);
-  if (row_filter_) {
-    BDCC_RETURN_NOT_OK(filter_.Bind(table_->data(), preds_));
-  }
-  BDCC_RETURN_NOT_OK(ResolveScan(table_->data(), col_names_, preds_,
-                                 &col_idx_, &bound_preds_, &schema_));
+  BDCC_RETURN_NOT_OK(OpenOn(table_->data()));
   // Grouped emission must present group ids in ascending order (sandwich
   // operators align on them). Sort by the *emitted* id — the aligned shared
   // prefix — not the full dimension bits; a stable sort keeps physical
@@ -528,30 +520,6 @@ Status BdccScan::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-bool BdccScan::ZoneAllowedIn(const Table& data, uint64_t zone) const {
-  if (!data.HasZoneMaps()) return true;
-  for (const auto& [col, range] : bound_preds_) {
-    if (!data.zone_map(col).MayMatch(zone, range)) return false;
-  }
-  return true;
-}
-
-bool BdccScan::ZoneAllMatchIn(const Table& data, uint64_t zone) const {
-  if (!data.HasZoneMaps()) return false;
-  for (const auto& [col, range] : bound_preds_) {
-    if (!data.zone_map(col).AllMatch(zone, range)) return false;
-  }
-  return true;
-}
-
-bool BdccScan::ZoneAllowed(uint64_t zone) const {
-  return ZoneAllowedIn(table_->data(), zone);
-}
-
-bool BdccScan::ZoneAllMatch(uint64_t zone) const {
-  return ZoneAllMatchIn(table_->data(), zone);
-}
-
 int64_t GroupIdForKey(const BdccTable& table,
                       const std::vector<GroupSpec>& grouping, uint64_t key) {
   if (grouping.empty()) return -1;
@@ -574,13 +542,9 @@ int64_t BdccScan::GroupIdOf(uint64_t key) const {
 Result<Batch> BdccScan::Next(ExecContext* ctx) {
   if (main_done_) return NextDelta(ctx);
   const Table& data = table_->data();
-  uint32_t zone_rows = data.HasZoneMaps() ? data.zone_rows() : 0;
-  Batch out = filter_.TakeBatch(data, col_idx_, schema_, ctx->batch_size());
-  SelBuilder selb;
-  std::vector<uint32_t> rel_scratch;
-  size_t appended = 0;
+  Emit emit(filter_.TakeBatch(data, col_idx_, schema_, ctx->batch_size()));
   int64_t batch_gid = -2;  // unset sentinel
-  while (appended < ctx->batch_size()) {
+  while (emit.appended < ctx->batch_size()) {
     BDCC_RETURN_NOT_OK(ctx->CheckLifecycle());
     if (morsels_.valid()) {
       // Walk this clone's strided morsels of range indices.
@@ -611,63 +575,34 @@ Result<Batch> BdccScan::Next(ExecContext* ctx) {
       cursor_ = 0;
       continue;
     }
-    uint64_t end =
-        std::min(range.row_end, cursor_ + (ctx->batch_size() - appended));
-    bool zone_all_match = false;
-    if (zone_rows != 0) {
-      uint64_t zone = cursor_ / zone_rows;
-      uint64_t zone_begin = zone * zone_rows;
-      uint64_t zone_end = (zone + 1) * zone_rows;
-      // Skip zones lying fully inside the range when MinMax excludes them.
-      if (zone_begin >= range.row_begin && zone_end <= range.row_end &&
-          !ZoneAllowed(zone)) {
-        ctx->stats()->zones_skipped += 1;
-        cursor_ = zone_end;
-        continue;
-      }
-      end = std::min(end, zone_end);
-      ctx->stats()->zones_read += 1;
-      zone_all_match = ZoneAllMatch(zone);
+    uint64_t limit = std::min(range.row_end,
+                              cursor_ + (ctx->batch_size() - emit.appended));
+    size_t before = emit.appended;
+    // Only zones lying fully inside the range may be skipped.
+    BDCC_RETURN_NOT_OK(ScanChunk(data, limit, range.row_begin, range.row_end,
+                                 zero_copy_, ctx, &cursor_, &emit));
+    if (emit.view) {
+      emit.out.group_id = gid;
+      return std::move(emit.out);  // single-chunk borrowed batch
     }
-    bool filtering = row_filter_ && filter_.active();
-    if (filtering && zone_all_match) ctx->stats()->decodes_skipped += 1;
-    if (BDCC_UNLIKELY(fault::ShouldFail(fault::kScanDecode))) {
-      ctx->stats()->faults_injected += 1;
-      return Status::IOError("injected decode fault (BdccScan chunk)");
-    }
-    if (zero_copy_ && appended == 0 && end - cursor_ >= kMinViewRows &&
-        (!filtering || zone_all_match)) {
-      ChargeSpan(data, col_idx_, cursor_, end, ctx);
-      MakeViews(data, col_idx_, cursor_, end, &out);
-      ctx->stats()->chunks_zero_copy += 1;
-      cursor_ = end;
-      out.group_id = grouping_.empty() ? -1 : gid;
-      return out;  // single-chunk borrowed batch
-    }
-    size_t added =
-        EmitChunk(data, col_idx_, cursor_, end, filtering && !zone_all_match,
-                  &filter_, ctx, &out, &selb, &rel_scratch);
-    appended += added;
     // Only chunks that contributed rows pin the batch's group id; a fully
     // filtered group simply emits nothing (like a zone-skipped one).
-    if (added > 0) batch_gid = gid;
-    cursor_ = end;
+    if (emit.appended > before) batch_gid = gid;
   }
-  selb.Finish(&out);
-  out.group_id = batch_gid == -2 ? -1 : batch_gid;
-  if (grouping_.empty()) out.group_id = -1;
-  if (out.num_rows == 0 && !delta_chunks_.empty()) {
+  emit.selb.Finish(&emit.out);
+  emit.out.group_id = batch_gid == -2 ? -1 : batch_gid;
+  if (grouping_.empty()) emit.out.group_id = -1;
+  if (emit.out.num_rows == 0 && !delta_chunks_.empty()) {
     // Clustered leg drained without producing a batch: hand off to the
     // delta-side leg (never mixing legs inside one batch).
     main_done_ = true;
-    filter_.Recycle(std::move(out), schema_);
+    filter_.Recycle(std::move(emit.out), schema_);
     return NextDelta(ctx);
   }
-  return out;
+  return std::move(emit.out);
 }
 
 Result<Batch> BdccScan::NextDelta(ExecContext* ctx) {
-  std::vector<uint32_t> rel_scratch;
   while (delta_idx_ < delta_chunks_.size()) {
     const Table& chunk = *delta_chunks_[delta_idx_];
     uint64_t rows = chunk.num_rows();
@@ -686,47 +621,26 @@ Result<Batch> BdccScan::NextDelta(ExecContext* ctx) {
     // TakeBatch wires output dictionaries from `chunk`, and the batch ends
     // at the chunk boundary — downstream never sees mixed dictionary
     // sources inside one batch.
-    Batch out = filter_.TakeBatch(chunk, col_idx_, schema_, ctx->batch_size());
-    SelBuilder selb;
-    size_t appended = 0;
-    uint32_t zone_rows = chunk.HasZoneMaps() ? chunk.zone_rows() : 0;
-    while (appended < ctx->batch_size() && delta_cursor_ < rows) {
+    Emit emit(filter_.TakeBatch(chunk, col_idx_, schema_, ctx->batch_size()));
+    while (emit.appended < ctx->batch_size() && delta_cursor_ < rows) {
       BDCC_RETURN_NOT_OK(ctx->CheckLifecycle());
-      uint64_t end =
-          std::min(rows, delta_cursor_ + (ctx->batch_size() - appended));
-      bool zone_all_match = false;
-      if (zone_rows != 0) {
-        uint64_t zone = delta_cursor_ / zone_rows;
-        if (!ZoneAllowedIn(chunk, zone)) {
-          ctx->stats()->zones_skipped += 1;
-          delta_cursor_ = std::min<uint64_t>(rows, (zone + 1) * zone_rows);
-          continue;
-        }
-        end = std::min<uint64_t>(end, (zone + 1) * zone_rows);
-        ctx->stats()->zones_read += 1;
-        zone_all_match = ZoneAllMatchIn(chunk, zone);
-      }
-      bool filtering = row_filter_ && filter_.active();
-      if (filtering && zone_all_match) ctx->stats()->decodes_skipped += 1;
-      if (BDCC_UNLIKELY(fault::ShouldFail(fault::kScanDecode))) {
-        ctx->stats()->faults_injected += 1;
-        return Status::IOError("injected decode fault (BdccScan delta chunk)");
-      }
-      ctx->stats()->delta_rows_scanned += end - delta_cursor_;
-      appended += EmitChunk(chunk, col_idx_, delta_cursor_, end,
-                            filtering && !zone_all_match, &filter_, ctx, &out,
-                            &selb, &rel_scratch);
-      delta_cursor_ = end;
+      uint64_t limit =
+          std::min(rows, delta_cursor_ + (ctx->batch_size() - emit.appended));
+      uint64_t scanned = ctx->stats()->rows_scanned;
+      BDCC_RETURN_NOT_OK(ScanChunk(chunk, limit, 0, kAnyZone, /*views=*/false,
+                                   ctx, &delta_cursor_, &emit));
+      ctx->stats()->delta_rows_scanned += ctx->stats()->rows_scanned - scanned;
     }
     if (delta_cursor_ >= rows) {
       ++delta_idx_;
       delta_cursor_ = 0;
     }
-    if (selb.logical_rows() > 0 || appended > 0) {
-      selb.Finish(&out);
-      return out;
+    if (emit.selb.logical_rows() > 0 || emit.appended > 0) {
+      emit.selb.Finish(&emit.out);
+      return std::move(emit.out);
     }
-    filter_.Recycle(std::move(out), schema_);  // fully filtered: next chunk
+    // Fully filtered: on to the next chunk.
+    filter_.Recycle(std::move(emit.out), schema_);
   }
   // End of stream: an empty batch typed per the schema (base dictionaries).
   return filter_.TakeBatch(table_->data(), col_idx_, schema_, 0);

@@ -37,12 +37,10 @@ struct ScanPredicate {
 
 /// How scan predicates use a column's encoded mirror (Table::
 /// BuildEncodedLanes) when one exists:
-///  kAuto   — evaluate directly over the encoded blocks (one comparison per
-///            RLE run, unpack-compare for bit-packed spans);
-///  kOff    — ignore the encoding, evaluate over the flat lane;
-///  kDecode — decode the span to scratch first, then evaluate flat (the
-///            baseline the benches compare kAuto against).
-enum class EncodedEval { kAuto, kOff, kDecode };
+///  kAuto — evaluate directly over the encoded blocks (one comparison per
+///          RLE run, unpack-compare for bit-packed spans);
+///  kOff  — ignore the encoding, evaluate over the flat lane.
+enum class EncodedEval { kAuto, kOff };
 
 namespace internal {
 
@@ -90,8 +88,7 @@ class ScanFilterState {
  private:
   std::vector<BoundRowPred> bound_;
   EncodedEval encoded_eval_ = EncodedEval::kOff;
-  std::vector<uint8_t> mask_;      // scratch
-  std::vector<int32_t> decoded_;   // scratch (kDecode baseline)
+  std::vector<uint8_t> mask_;  // scratch
   std::vector<Batch> recycled_;
 };
 
@@ -115,15 +112,13 @@ class SelBuilder {
 
 }  // namespace internal
 
-/// \brief Sequential scan over a plain table with MinMax zone skipping.
-class PlainScan : public Operator {
+/// \brief State and per-chunk emission shared by PlainScan and BdccScan:
+/// resolved columns and zone predicates, the row filter, zero-copy and
+/// morsel settings, and batch recycling. Each scan walks its own spans and
+/// hands every chunk to one routine, ScanChunk.
+class TableScan : public Operator {
  public:
-  PlainScan(const Table* table, std::vector<std::string> columns,
-            std::vector<ScanPredicate> zone_predicates = {});
-
   const Schema& schema() const override { return schema_; }
-  Status Open(ExecContext* ctx) override;
-  Result<Batch> Next(ExecContext* ctx) override;
   void Close(ExecContext* ctx) override { filter_.ClearRecycled(); }
   void Recycle(Batch&& batch) override {
     filter_.Recycle(std::move(batch), schema_);
@@ -135,7 +130,7 @@ class PlainScan : public Operator {
 
   /// Evaluate pushed predicates over encoded lanes per `mode` (when the
   /// table has them; see EncodedEval). Call before Open.
-  void SetEncodedEval(EncodedEval mode) { encoded_eval_ = mode; }
+  void SetEncodedEval(EncodedEval mode) { filter_.set_encoded_eval(mode); }
 
   /// Emit zone-sized chunks the zone maps prove fully-passing (or any chunk
   /// when no filter is enforced) as zero-copy views over the storage lanes
@@ -143,28 +138,70 @@ class PlainScan : public Operator {
   /// ColumnVector view contract (see exec/batch.h).
   void EnableZeroCopy(bool on) { zero_copy_ = on; }
 
-  /// Restrict this scan to a strided subset of row morsels (parallel clone
-  /// path; see exec/morsel.h). Call before Open.
+  /// Restrict this scan to a strided subset of morsels (parallel clone
+  /// path; see exec/morsel.h): row morsels for PlainScan, GroupRange-index
+  /// morsels for BdccScan. Only valid for ungrouped BdccScans — grouped
+  /// scans parallelize by group-id chunking instead. Call before Open.
   void RestrictToMorsels(MorselSet morsels) { morsels_ = std::move(morsels); }
 
- private:
-  bool ZoneAllowed(uint64_t zone) const;
-  bool ZoneAllMatch(uint64_t zone) const;
+ protected:
+  /// Output of one Next() call while chunks append to it.
+  struct Emit {
+    explicit Emit(Batch batch) : out(std::move(batch)) {}
+    Batch out;
+    internal::SelBuilder selb;
+    std::vector<uint32_t> rel_scratch;
+    size_t appended = 0;  // physical rows appended to `out`
+    bool view = false;    // `out` became a single-chunk borrowed view
+  };
 
-  const Table* table_;
-  std::vector<std::string> col_names_;
+  TableScan(std::vector<std::string> columns,
+            std::vector<ScanPredicate> zone_predicates)
+      : preds_(std::move(zone_predicates)), col_names_(std::move(columns)) {}
+
+  /// Open-time half shared by both scans: bind the row filter and resolve
+  /// columns and zone predicates against `table`; reset the walk state.
+  Status OpenOn(const Table& table);
+
+  /// Scan one chunk of `data` starting at `*cursor` and ending at `limit`
+  /// or the zone end, whichever is first: MinMax skip of zones lying fully
+  /// inside [skip_begin, skip_end), zone and decode-skip counting, the
+  /// scan.decode fault point, a zero-copy view when `views` allows one,
+  /// else EmitChunk into `emit`. Advances `*cursor` past what it consumed.
+  /// Defined (and only called) in scan.cc.
+  inline Status ScanChunk(const Table& data, uint64_t limit,
+                          uint64_t skip_begin, uint64_t skip_end, bool views,
+                          ExecContext* ctx, uint64_t* cursor, Emit* emit);
+
   std::vector<ScanPredicate> preds_;
   std::vector<int> col_idx_;
-  std::vector<std::pair<int, ValueRange>> bound_preds_;
   Schema schema_;
   MorselSet morsels_;
-  size_t morsel_idx_ = 0;
+  size_t morsel_pos_ = 0;
   uint64_t cursor_ = 0;
-  uint64_t last_zone_counted_ = ~uint64_t{0};
   bool row_filter_ = false;
   bool zero_copy_ = false;
-  EncodedEval encoded_eval_ = EncodedEval::kOff;
   internal::ScanFilterState filter_;
+
+ private:
+  std::vector<std::string> col_names_;
+  std::vector<std::pair<int, ValueRange>> bound_preds_;
+  // End row of the last chunk read: a chunk starting there continues the
+  // same zone visit, so a zone counts once per contiguous visit.
+  uint64_t read_end_ = 0;
+};
+
+/// \brief Sequential scan over a plain table with MinMax zone skipping.
+class PlainScan : public TableScan {
+ public:
+  PlainScan(const Table* table, std::vector<std::string> columns,
+            std::vector<ScanPredicate> zone_predicates = {});
+
+  Status Open(ExecContext* ctx) override;
+  Result<Batch> Next(ExecContext* ctx) override;
+
+ private:
+  const Table* table_;
 };
 
 /// How a BDCC scan should tag batches for sandwich consumers: group id is
@@ -176,52 +213,30 @@ struct GroupSpec {
 
 /// \brief Scan over a BDCC table driven by (pruned, possibly reordered)
 /// group ranges from the scatter-scan planner.
-class BdccScan : public Operator {
+class BdccScan : public TableScan {
  public:
   BdccScan(const BdccTable* table, std::vector<std::string> columns,
            std::vector<GroupRange> ranges,
            std::vector<ScanPredicate> zone_predicates = {},
            std::vector<GroupSpec> grouping = {}, uint64_t pruned_groups = 0);
 
-  const Schema& schema() const override { return schema_; }
   Status Open(ExecContext* ctx) override;
   Result<Batch> Next(ExecContext* ctx) override;
-  void Close(ExecContext* ctx) override { filter_.ClearRecycled(); }
-  void Recycle(Batch&& batch) override {
-    filter_.Recycle(std::move(batch), schema_);
-  }
-
-  /// Enforce the zone predicates row-level inside the scan. Call before
-  /// Open.
-  void EnableRowFilter(bool on) { row_filter_ = on; }
-
-  /// Evaluate pushed predicates over encoded lanes per `mode`. Call before
-  /// Open.
-  void SetEncodedEval(EncodedEval mode) { encoded_eval_ = mode; }
-
-  /// Emit provably fully-passing chunks as zero-copy views (see PlainScan::
-  /// EnableZeroCopy). Call before Open.
-  void EnableZeroCopy(bool on) { zero_copy_ = on; }
 
   /// Group id a given reduced key maps to under `grouping`.
   int64_t GroupIdOf(uint64_t key) const;
 
-  /// Restrict this scan to a strided subset of GroupRange-index morsels
-  /// (parallel clone path). Only valid for ungrouped scans — grouped scans
-  /// parallelize by group-id chunking instead. Call before Open.
-  void RestrictToMorsels(MorselSet morsels) { morsels_ = std::move(morsels); }
-
   /// Attach the delta-side leg of a live-table snapshot: once the clustered
   /// ranges drain, the scan walks `chunks` (sealed delta chunk tables in the
   /// base data()'s column schema) under the same zone pruning and row-level
-  /// sarg filtering. Batches are cut at chunk boundaries and string verdicts
+  /// sarg filtering. Batches are cut at chunk boundaries, string verdicts
   /// are re-bound per chunk — every chunk carries its own dictionaries (see
-  /// src/delta/delta_store.h). `pin` keeps the snapshot (base version +
-  /// chunks) alive for the scan's lifetime; `table` passed to the
-  /// constructor must be that snapshot's base. Only valid for ungrouped
-  /// scans (the delta is unclustered, so grouped emission is impossible —
-  /// the planner falls back to ungrouped plans while a delta is live). Call
-  /// before Open.
+  /// src/delta/delta_store.h) — and no zero-copy views are emitted. `pin`
+  /// keeps the snapshot (base version + chunks) alive for the scan's
+  /// lifetime; `table` passed to the constructor must be that snapshot's
+  /// base. Only valid for ungrouped scans (the delta is unclustered, so
+  /// grouped emission is impossible — the planner falls back to ungrouped
+  /// plans while a delta is live). Call before Open.
   void AttachDelta(std::shared_ptr<const void> pin,
                    std::vector<const Table*> chunks) {
     delta_pin_ = std::move(pin);
@@ -229,29 +244,13 @@ class BdccScan : public Operator {
   }
 
  private:
-  bool ZoneAllowed(uint64_t zone) const;
-  bool ZoneAllMatch(uint64_t zone) const;
-  bool ZoneAllowedIn(const Table& data, uint64_t zone) const;
-  bool ZoneAllMatchIn(const Table& data, uint64_t zone) const;
   Result<Batch> NextDelta(ExecContext* ctx);
 
   const BdccTable* table_;
-  std::vector<std::string> col_names_;
   std::vector<GroupRange> ranges_;
-  std::vector<ScanPredicate> preds_;
   std::vector<GroupSpec> grouping_;
   uint64_t pruned_groups_;
-  std::vector<int> col_idx_;
-  std::vector<std::pair<int, ValueRange>> bound_preds_;
-  Schema schema_;
-  MorselSet morsels_;
-  size_t morsel_pos_ = 0;
-  size_t range_idx_ = 0;
-  uint64_t cursor_ = 0;  // within current range
-  bool row_filter_ = false;
-  bool zero_copy_ = false;
-  EncodedEval encoded_eval_ = EncodedEval::kOff;
-  internal::ScanFilterState filter_;
+  size_t range_idx_ = 0;  // cursor_ is the row within ranges_[range_idx_]
   // Delta-side leg (AttachDelta): snapshot pin, chunk walk state, and the
   // chunk the filter's dictionary verdicts are currently bound to.
   std::shared_ptr<const void> delta_pin_;

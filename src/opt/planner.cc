@@ -64,11 +64,13 @@ struct AbsorbedTable {
   std::vector<std::string> path;  // FK chain from the probe base table
 };
 
-// ---- Parallel pipeline support ------------------------------------------
+// ---- Scan leaves and parallel pipeline support ---------------------------
 //
-// When PlannerOptions::num_threads > 1, scan chains additionally carry a
-// *leaf factory*: a closure that instantiates another copy of the chain
-// restricted to one clone's share of the work. Two restriction modes exist:
+// Every scan chain is compiled as a *leaf factory*: a closure that
+// instantiates a copy of the chain restricted to one clone's share of the
+// work. The serial operator is the default clone (LeafClone{}: instance 0
+// of 1, whole scan). When PlannerOptions::num_threads > 1, blocking
+// operators instantiate further clones. Two restriction modes exist:
 //  - morsel mode (ungrouped scans): clone i walks a deterministic strided
 //    subset of the shared morsel plan;
 //  - group-id mode (grouped BDCC scans): the clone scans only the ranges
@@ -87,7 +89,7 @@ constexpr uint64_t kMinParallelBuildRows = 4096;
 
 struct LeafClone {
   size_t instance = 0;
-  size_t total = 1;
+  size_t total = 1;  // 1: the whole scan, with no morsel restriction
   // When >= 0: restrict a grouped BDCC scan to group ids in [gid_lo, gid_hi].
   int64_t gid_lo = -1;
   int64_t gid_hi = -1;
@@ -123,13 +125,28 @@ struct SubPlan {
   std::vector<exec::GroupSpec> grouping;  // major..minor
   std::vector<AbsorbedTable> absorbed;
 
-  // Parallel-clone support (empty/0 unless num_threads > 1 and the subplan
-  // is a pure scan chain).
+  // Set for pure scan chains (see "Scan leaves" above).
   LeafFactory leaf_factory;
+  // Parallel-clone sizing (0/empty unless num_threads > 1).
   uint64_t leaf_rows = 0;
   // Ascending distinct group ids of a grouped scan chain (group-id mode).
   std::shared_ptr<const std::vector<int64_t>> leaf_gids;
 };
+
+/// Stacks `wrap` (OperatorPtr -> OperatorPtr) on top of a compiled chain:
+/// on its leaf factory while it is a scan chain, else on its operator.
+template <typename Wrap>
+void WrapChain(SubPlan* plan, Wrap wrap) {
+  if (!plan->leaf_factory) {
+    plan->op = wrap(std::move(plan->op));
+    return;
+  }
+  plan->leaf_factory = [inner = std::move(plan->leaf_factory),
+                        wrap](const LeafClone& c) -> Result<exec::OperatorPtr> {
+    BDCC_ASSIGN_OR_RETURN(exec::OperatorPtr op, inner(c));
+    return wrap(std::move(op));
+  };
+}
 
 struct GroupRequest {
   std::vector<size_t> order;  // scatter-scan use order (major first)
@@ -149,11 +166,16 @@ class PlannerImpl {
               PushdownAnalysis analysis)
       : db_(db), opts_(opts), analysis_(std::move(analysis)) {}
 
+  /// Compile `node` with its serial operator built.
   Result<SubPlan> Compile(const NodePtr& node, const GroupRequest* req);
   std::vector<std::string> TakeNotes() { return std::move(notes_); }
 
  private:
   void Note(std::string note) { notes_.push_back(std::move(note)); }
+
+  /// Compile `node`; a scan chain comes back as its leaf factory only (no
+  /// serial operator yet) so Filter/Project nodes wrap it once.
+  Result<SubPlan> CompileNode(const NodePtr& node, const GroupRequest* req);
 
   Result<SubPlan> CompileScan(const NodePtr& node, const GroupRequest* req);
   Result<SubPlan> CompileJoin(const NodePtr& node);
@@ -267,28 +289,29 @@ Result<SubPlan> PlannerImpl::CompileScan(const NodePtr& node,
     }
   }
 
-  // Row-level enforcement of sargs + residual (applied below and inside
-  // every parallel clone). Range-exact sargs are pushed into the scan
-  // itself (selection-vector kernels); sargs with a custom row expression
-  // (whose range over-approximates, e.g. prefix LIKE) and residuals keep a
-  // Filter on top.
+  // Row-level enforcement of sargs + residual (inside every scan leaf).
+  // Range-exact sargs are pushed into the scan itself (selection-vector
+  // kernels); sargs with a custom row expression (whose range
+  // over-approximates, e.g. prefix LIKE) and residuals keep a Filter on top.
   bool scan_filters_rows = opts_.enable_scan_filter_pushdown &&
                            opts_.enable_zonemaps &&
                            std::any_of(scan.sargs.begin(), scan.sargs.end(),
                                        [](const Sarg& s) {
                                          return s.row_expr == nullptr;
                                        });
-  exec::EncodedEval encoded_eval = opts_.enable_encoded_exec
-                                       ? exec::EncodedEval::kAuto
-                                       : exec::EncodedEval::kOff;
-  bool zero_copy = opts_.enable_zero_copy_views;
   std::vector<exec::ExprPtr> conjuncts;
   for (const Sarg& s : scan.sargs) {
     if (scan_filters_rows && s.row_expr == nullptr) continue;
     conjuncts.push_back(SargRowExpr(s));
   }
   if (scan.residual) conjuncts.push_back(scan.residual);
-  auto add_filter = [&conjuncts](exec::OperatorPtr op) -> exec::OperatorPtr {
+  // Scan configuration and Filter shared by every leaf the factory builds.
+  auto finish_leaf = [scan_filters_rows,
+                      conjuncts](auto scan_op) -> exec::OperatorPtr {
+    scan_op->EnableRowFilter(scan_filters_rows);
+    scan_op->SetEncodedEval(exec::EncodedEval::kAuto);
+    scan_op->EnableZeroCopy(true);
+    exec::OperatorPtr op = std::move(scan_op);
     if (conjuncts.empty()) return op;
     return std::make_unique<exec::Filter>(std::move(op),
                                           exec::AndAll(conjuncts));
@@ -338,12 +361,18 @@ Result<SubPlan> PlannerImpl::CompileScan(const NodePtr& node,
     uint64_t pruned = before - ranges.size();
     std::vector<exec::GroupSpec> grouping =
         req != nullptr ? req->specs : std::vector<exec::GroupSpec>{};
+    if (!delta_tables.empty()) {
+      Note("delta leg: " + scan.table + " + " +
+           std::to_string(delta_tables.size()) + " chunk(s), " +
+           std::to_string(snap->delta_rows) + " rows @epoch " +
+           std::to_string(snap->epoch));
+    }
 
+    auto shared_ranges =
+        std::make_shared<const std::vector<GroupRange>>(std::move(ranges));
+    std::shared_ptr<const std::vector<exec::Morsel>> morsels;
     if (opts_.num_threads > 1) {
-      auto shared_ranges =
-          std::make_shared<const std::vector<GroupRange>>(ranges);
       out.leaf_rows = bt->data().num_rows();
-      std::shared_ptr<const std::vector<exec::Morsel>> morsels;
       if (grouping.empty()) {
         morsels = std::make_shared<const std::vector<exec::Morsel>>(
             exec::MakeRangeMorsels(*shared_ranges, kMorselRows));
@@ -358,98 +387,63 @@ Result<SubPlan> PlannerImpl::CompileScan(const NodePtr& node,
         gids->erase(std::unique(gids->begin(), gids->end()), gids->end());
         out.leaf_gids = std::move(gids);
       }
-      out.leaf_factory = [bt, cols = scan.columns, shared_ranges, zone_preds,
-                          grouping, pruned, morsels, conjuncts,
-                          scan_filters_rows, encoded_eval, zero_copy, snap,
-                          delta_tables](
-                             const LeafClone& c) -> Result<exec::OperatorPtr> {
-        std::vector<GroupRange> clone_ranges;
-        if (c.gid_lo >= 0) {
-          for (const GroupRange& r : *shared_ranges) {
-            int64_t g = exec::GroupIdForKey(*bt, grouping, r.key);
-            if (g >= c.gid_lo && g <= c.gid_hi) clone_ranges.push_back(r);
-          }
-        } else {
-          BDCC_CHECK(grouping.empty());
-          clone_ranges = *shared_ranges;
-        }
-        auto scan_op = std::make_unique<exec::BdccScan>(
-            bt, cols, std::move(clone_ranges), zone_preds, grouping,
-            c.instance == 0 ? pruned : 0);
-        scan_op->EnableRowFilter(scan_filters_rows);
-        scan_op->SetEncodedEval(encoded_eval);
-        scan_op->EnableZeroCopy(zero_copy);
-        if (c.gid_lo < 0 && morsels != nullptr) {
-          scan_op->RestrictToMorsels(
-              exec::MorselSet{morsels, c.instance, c.total});
-        }
-        if (!delta_tables.empty()) {
-          // Stride whole chunks across clones: chunks are disjoint, so the
-          // union over clones covers the delta exactly once.
-          std::vector<const Table*> clone_chunks;
-          for (size_t i = c.instance; i < delta_tables.size(); i += c.total) {
-            clone_chunks.push_back(delta_tables[i]);
-          }
-          scan_op->AttachDelta(snap, std::move(clone_chunks));
-        }
-        exec::OperatorPtr op = std::move(scan_op);
-        if (!conjuncts.empty()) {
-          op = std::make_unique<exec::Filter>(std::move(op),
-                                              exec::AndAll(conjuncts));
-        }
-        return op;
-      };
     }
-
-    auto bdcc_scan = std::make_unique<exec::BdccScan>(
-        bt, scan.columns, std::move(ranges), zone_preds, grouping, pruned);
-    bdcc_scan->EnableRowFilter(scan_filters_rows);
-    bdcc_scan->SetEncodedEval(encoded_eval);
-    bdcc_scan->EnableZeroCopy(zero_copy);
-    if (!delta_tables.empty()) {
-      bdcc_scan->AttachDelta(snap, delta_tables);
-      Note("delta leg: " + scan.table + " + " +
-           std::to_string(delta_tables.size()) + " chunk(s), " +
-           std::to_string(snap->delta_rows) + " rows @epoch " +
-           std::to_string(snap->epoch));
-    }
-    out.op = add_filter(std::move(bdcc_scan));
+    out.leaf_factory = [bt, cols = scan.columns, shared_ranges, zone_preds,
+                        grouping, pruned, morsels, finish_leaf, snap,
+                        delta_tables](
+                           const LeafClone& c) -> Result<exec::OperatorPtr> {
+      std::vector<GroupRange> clone_ranges;
+      if (c.gid_lo >= 0) {
+        for (const GroupRange& r : *shared_ranges) {
+          int64_t g = exec::GroupIdForKey(*bt, grouping, r.key);
+          if (g >= c.gid_lo && g <= c.gid_hi) clone_ranges.push_back(r);
+        }
+      } else {
+        BDCC_CHECK(grouping.empty() || c.total == 1);
+        clone_ranges = *shared_ranges;
+      }
+      auto scan_op = std::make_unique<exec::BdccScan>(
+          bt, cols, std::move(clone_ranges), zone_preds, grouping,
+          c.instance == 0 ? pruned : 0);
+      if (c.total > 1 && morsels != nullptr) {  // ungrouped clone
+        scan_op->RestrictToMorsels(
+            exec::MorselSet{morsels, c.instance, c.total});
+      }
+      if (!delta_tables.empty()) {
+        // Stride whole chunks across clones: chunks are disjoint, so the
+        // union over clones covers the delta exactly once.
+        std::vector<const Table*> clone_chunks;
+        for (size_t i = c.instance; i < delta_tables.size(); i += c.total) {
+          clone_chunks.push_back(delta_tables[i]);
+        }
+        scan_op->AttachDelta(snap, std::move(clone_chunks));
+      }
+      return finish_leaf(std::move(scan_op));
+    };
     if (req != nullptr) {
       out.grouped_base = bt;
       out.grouping = req->specs;
     }
   } else {
+    std::shared_ptr<const std::vector<exec::Morsel>> morsels;
     if (opts_.num_threads > 1) {
       uint32_t zone_rows = storage->HasZoneMaps() ? storage->zone_rows() : 0;
-      auto morsels = std::make_shared<const std::vector<exec::Morsel>>(
+      morsels = std::make_shared<const std::vector<exec::Morsel>>(
           exec::MakeRowMorsels(storage->num_rows(), zone_rows, kMorselRows));
       out.leaf_rows = storage->num_rows();
-      out.leaf_factory = [storage, cols = scan.columns, zone_preds, morsels,
-                          conjuncts, scan_filters_rows, encoded_eval,
-                          zero_copy](
-                             const LeafClone& c) -> Result<exec::OperatorPtr> {
-        BDCC_CHECK(c.gid_lo < 0);  // plain scans have no group ids
-        auto scan_op =
-            std::make_unique<exec::PlainScan>(storage, cols, zone_preds);
-        scan_op->EnableRowFilter(scan_filters_rows);
-        scan_op->SetEncodedEval(encoded_eval);
-        scan_op->EnableZeroCopy(zero_copy);
+    }
+    out.leaf_factory = [storage, cols = scan.columns, zone_preds, morsels,
+                        finish_leaf](
+                           const LeafClone& c) -> Result<exec::OperatorPtr> {
+      BDCC_CHECK(c.gid_lo < 0);  // plain scans have no group ids
+      auto scan_op =
+          std::make_unique<exec::PlainScan>(storage, cols, zone_preds);
+      if (c.total > 1) {
         scan_op->RestrictToMorsels(
             exec::MorselSet{morsels, c.instance, c.total});
-        exec::OperatorPtr op = std::move(scan_op);
-        if (!conjuncts.empty()) {
-          op = std::make_unique<exec::Filter>(std::move(op),
-                                              exec::AndAll(conjuncts));
-        }
-        return op;
-      };
-    }
-    auto plain_scan = std::make_unique<exec::PlainScan>(
-        storage, scan.columns, zone_preds);
-    plain_scan->EnableRowFilter(scan_filters_rows);
-    plain_scan->SetEncodedEval(encoded_eval);
-    plain_scan->EnableZeroCopy(zero_copy);
-    out.op = add_filter(std::move(plain_scan));
+      }
+      return finish_leaf(std::move(scan_op));
+    };
     out.sorted_on = db_.sorted_on(scan.table);
   }
 
@@ -642,10 +636,10 @@ Result<SubPlan> PlannerImpl::CompileJoin(const NodePtr& node) {
   }
 
   // ---- PK: merge join along a sorted, unique foreign key ----
-  if (db_.scheme() == Scheme::kPk && opts_.enable_merge_join &&
-      fk != nullptr && jn.type == exec::JoinType::kInner &&
-      jn.left_keys.size() == 1 && fk->from_columns.size() == 1 &&
-      left_base != nullptr && right_base != nullptr) {
+  if (db_.scheme() == Scheme::kPk && fk != nullptr &&
+      jn.type == exec::JoinType::kInner && jn.left_keys.size() == 1 &&
+      fk->from_columns.size() == 1 && left_base != nullptr &&
+      right_base != nullptr) {
     bool fk_from_left = fk->from_table == left_base->scan.table;
     const LogicalNode* probe_base = fk_from_left ? left_base : right_base;
     const LogicalNode* ref_base = fk_from_left ? right_base : left_base;
@@ -695,9 +689,7 @@ Result<SubPlan> PlannerImpl::CompileJoin(const NodePtr& node) {
     // scan chain of useful size: partition count follows the estimated
     // build cardinality (base-table rows; filters only shrink it). The
     // serial build operator is not compiled into the plan in that case.
-    bool partitioned_build = opts_.enable_parallel_build &&
-                             right.leaf_factory &&
-                             right.leaf_gids == nullptr &&
+    bool partitioned_build = right.leaf_factory && right.leaf_gids == nullptr &&
                              right.leaf_rows >= kMinParallelBuildRows;
     auto pj = std::make_unique<exec::ParallelHashJoin>(
         std::move(probe_factory), static_cast<size_t>(opts_.num_threads),
@@ -855,8 +847,8 @@ Result<SubPlan> PlannerImpl::CompileAgg(const NodePtr& node) {
   }
 
   // ---- Ordered aggregation when the input is sorted on the single key ----
-  if (opts_.enable_stream_agg && an.group_cols.size() == 1 &&
-      !child.sorted_on.empty() && child.sorted_on == an.group_cols[0]) {
+  if (an.group_cols.size() == 1 && !child.sorted_on.empty() &&
+      child.sorted_on == an.group_cols[0]) {
     Note("streaming aggregation on " + an.group_cols[0]);
     SubPlan out;
     out.sorted_on = an.group_cols[0];
@@ -888,46 +880,42 @@ Result<SubPlan> PlannerImpl::CompileAgg(const NodePtr& node) {
 
 Result<SubPlan> PlannerImpl::Compile(const NodePtr& node,
                                      const GroupRequest* req) {
+  BDCC_ASSIGN_OR_RETURN(SubPlan out, CompileNode(node, req));
+  if (out.op == nullptr) {
+    // Scan chain: the serial operator is the factory's one whole-scan clone.
+    BDCC_ASSIGN_OR_RETURN(out.op, out.leaf_factory(LeafClone{}));
+  }
+  return out;
+}
+
+Result<SubPlan> PlannerImpl::CompileNode(const NodePtr& node,
+                                         const GroupRequest* req) {
   switch (node->kind) {
     case NodeKind::kScan:
       return CompileScan(node, req);
     case NodeKind::kFilter: {
-      BDCC_ASSIGN_OR_RETURN(SubPlan child, Compile(node->children[0], req));
-      SubPlan out = std::move(child);
-      out.op = std::make_unique<exec::Filter>(std::move(out.op),
-                                              node->filter.predicate);
-      if (out.leaf_factory) {
-        LeafFactory inner = std::move(out.leaf_factory);
-        exec::ExprPtr pred = node->filter.predicate;
-        out.leaf_factory =
-            [inner, pred](const LeafClone& c) -> Result<exec::OperatorPtr> {
-          BDCC_ASSIGN_OR_RETURN(exec::OperatorPtr op, inner(c));
-          return exec::OperatorPtr(
-              std::make_unique<exec::Filter>(std::move(op), pred));
-        };
-      }
+      BDCC_ASSIGN_OR_RETURN(SubPlan out, CompileNode(node->children[0], req));
+      exec::ExprPtr pred = node->filter.predicate;
+      WrapChain(&out, [pred](exec::OperatorPtr op) -> exec::OperatorPtr {
+        return std::make_unique<exec::Filter>(std::move(op), pred);
+      });
       return out;
     }
     case NodeKind::kProject: {
-      BDCC_ASSIGN_OR_RETURN(SubPlan child, Compile(node->children[0], nullptr));
+      BDCC_ASSIGN_OR_RETURN(SubPlan child,
+                            CompileNode(node->children[0], nullptr));
       SubPlan out;
+      out.op = std::move(child.op);
       out.grouped_base = child.grouped_base;
       out.grouping = child.grouping;
       out.absorbed = child.absorbed;
+      out.leaf_factory = std::move(child.leaf_factory);
       out.leaf_rows = child.leaf_rows;
       out.leaf_gids = child.leaf_gids;
-      if (child.leaf_factory) {
-        LeafFactory inner = std::move(child.leaf_factory);
-        auto exprs = node->project.exprs;
-        out.leaf_factory =
-            [inner, exprs](const LeafClone& c) -> Result<exec::OperatorPtr> {
-          BDCC_ASSIGN_OR_RETURN(exec::OperatorPtr op, inner(c));
-          return exec::OperatorPtr(
-              std::make_unique<exec::Project>(std::move(op), exprs));
-        };
-      }
-      out.op = std::make_unique<exec::Project>(std::move(child.op),
-                                               node->project.exprs);
+      auto exprs = node->project.exprs;
+      WrapChain(&out, [exprs](exec::OperatorPtr op) -> exec::OperatorPtr {
+        return std::make_unique<exec::Project>(std::move(op), exprs);
+      });
       return out;
     }
     case NodeKind::kJoin:

@@ -31,34 +31,22 @@ struct PlannerOptions {
   bool enable_sandwich = true;      // BDCC: sandwich joins/aggregates
   bool enable_group_pruning = true; // BDCC: bin-range group pruning
   bool enable_zonemaps = true;      // all schemes: MinMax zone skipping
-  bool enable_merge_join = true;    // PK: merge joins on sorted keys
-  bool enable_stream_agg = true;    // PK: ordered aggregation
   /// All schemes: enforce range-exact sargs row-level inside the scan
-  /// (branch-free kernels over the storage lanes emitting selection
-  /// vectors) instead of a Filter over copied batches. Sargs with a custom
-  /// row expression (e.g. LIKE) and residual predicates stay in the Filter.
+  /// (branch-free kernels over the storage lanes, or directly over their
+  /// encoded blocks where the table has them, emitting selection vectors)
+  /// instead of a Filter over copied batches. Sargs with a custom row
+  /// expression (e.g. LIKE) and residual predicates stay in the Filter.
+  /// Off only in the legacy copy pipeline that tests use as a reference.
   bool enable_scan_filter_pushdown = true;
-  /// All schemes: when the scanned table carries encoded lanes
-  /// (Table::BuildEncodedLanes), pushed range-exact sargs evaluate directly
-  /// over the encoded blocks — one comparison per RLE run, packed-domain
-  /// compares for bit-packed spans — instead of the flat lane.
-  bool enable_encoded_exec = true;
-  /// All schemes: scan chunks the zone maps prove fully-passing (or any
-  /// chunk when no predicate is enforced in the scan) are emitted as
-  /// zero-copy views borrowing the storage lanes instead of copying.
-  bool enable_zero_copy_views = true;
 
   /// Degree of intra-query parallelism. 1 (default) compiles the classic
   /// single-threaded pull plan; N > 1 splits eligible pipelines into N
   /// morsel-driven clones at blocking operators (hash aggregation, hash-join
-  /// probe, sandwich join/aggregate). Results are identical either way
-  /// (modulo float summation order); plans too small to benefit stay serial.
+  /// probe and — when the build side is a clonable scan chain of useful
+  /// size — a radix-partitioned build, sandwich join/aggregate). Results are
+  /// identical either way (modulo float summation order); plans too small to
+  /// benefit stay serial.
   int num_threads = 1;
-  /// With num_threads > 1: build the hash-join build side with N parallel
-  /// chains feeding a radix-partitioned table (partition count derived from
-  /// the estimated build cardinality), instead of one serial drain. Only
-  /// applies when the build side is a scan chain the planner can clone.
-  bool enable_parallel_build = true;
   /// Worker pool used when num_threads > 1; nullptr = the process-wide
   /// TaskScheduler::Shared().
   common::TaskScheduler* scheduler = nullptr;

@@ -90,16 +90,16 @@ TEST(MemoryTrackerTest, TrackedMemoryRaii) {
   exec::MemoryTracker tracker;
   {
     exec::TrackedMemory mem(&tracker);
-    mem.Set(500);
+    ASSERT_TRUE(mem.TrySet(500).ok());
     EXPECT_EQ(tracker.current_bytes(), 500u);
-    mem.Set(200);
+    mem.Shrink(200);
     EXPECT_EQ(tracker.current_bytes(), 200u);
-    mem.Set(800);
+    ASSERT_TRUE(mem.TrySet(800).ok());
     EXPECT_EQ(tracker.peak_bytes(), 800u);
   }
   EXPECT_EQ(tracker.current_bytes(), 0u);  // released on destruction
   exec::TrackedMemory null_ok(nullptr);
-  null_ok.Set(100);  // no-op, no crash
+  EXPECT_TRUE(null_ok.TrySet(100).ok());  // no-op, no crash
 }
 
 }  // namespace

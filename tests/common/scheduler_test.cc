@@ -156,8 +156,8 @@ TEST(TaskSchedulerTest, MemoryTrackerIsThreadSafe) {
   constexpr uint64_t kPerTask = 1000;
   scheduler.ParallelFor(256, [&](size_t) {
     exec::TrackedMemory mem(&tracker);
-    mem.Set(kPerTask);
-    mem.Set(kPerTask / 2);
+    EXPECT_TRUE(mem.TrySet(kPerTask).ok());
+    mem.Shrink(kPerTask / 2);
     mem.Clear();
   });
   EXPECT_EQ(tracker.current_bytes(), 0u);

@@ -33,14 +33,21 @@ class LiveScanTest : public DeltaFixture {
   static Result<exec::Batch> ScanSnapshot(
       std::shared_ptr<const TableSnapshot> snap,
       std::vector<exec::ScanPredicate> preds, bool row_filter,
-      exec::ExecContext* ctx) {
+      exec::ExecContext* ctx, bool zero_copy = false) {
+    exec::BdccScan scan = MakeScan(snap, std::move(preds));
+    scan.EnableRowFilter(row_filter);
+    scan.EnableZeroCopy(zero_copy);
+    return exec::CollectAll(&scan, ctx);
+  }
+
+  static exec::BdccScan MakeScan(std::shared_ptr<const TableSnapshot> snap,
+                                 std::vector<exec::ScanPredicate> preds) {
     exec::BdccScan scan(snap->base.get(), {"f_d", "f_payload", "f_tag"},
-                        PlanNaturalScan(*snap->base), preds);
+                        PlanNaturalScan(*snap->base), std::move(preds));
     std::vector<const Table*> chunks;
     for (const auto& chunk : snap->chunks) chunks.push_back(&chunk->data());
     scan.AttachDelta(snap, std::move(chunks));
-    scan.EnableRowFilter(row_filter);
-    return exec::CollectAll(&scan, ctx);
+    return scan;
   }
 
   std::unique_ptr<Resolver> resolver_;
@@ -64,6 +71,54 @@ TEST_F(LiveScanTest, LiveScanEqualsMergedScan) {
   exec::Batch merged =
       ScanSnapshot(live->OpenSnapshot(), {}, false, &merged_ctx).ValueOrDie();
   EXPECT_EQ(merged_ctx.stats()->delta_rows_scanned, 0u);
+  testutil::ExpectBatchesEqual(with_delta, merged, "live-vs-merged ");
+}
+
+TEST_F(LiveScanTest, DeltaLegEmitsNoViews) {
+  auto live = MakeLive();
+  ASSERT_TRUE(live->Append(MakeRows(1, 700)).ok());
+  ASSERT_TRUE(live->Append(MakeRows(2, 500)).ok());
+  auto snap = live->OpenSnapshot();
+
+  // Zero-copy on: the clustered leg emits views, the delta leg (payloads
+  // >= 1000000, see MakeRows) only owned batches.
+  exec::ExecContext ctx(nullptr);
+  exec::BdccScan scan = MakeScan(snap, {});
+  scan.EnableZeroCopy(true);
+  ASSERT_TRUE(scan.Open(&ctx).ok());
+  uint64_t view_batches = 0;
+  uint64_t delta_rows = 0;
+  uint64_t rows = 0;
+  while (true) {
+    exec::Batch b = scan.Next(&ctx).ValueOrDie();
+    if (b.empty()) break;
+    bool view = b.columns[1].is_view();
+    view_batches += view ? 1 : 0;
+    const int64_t* payload = b.columns[1].i64_data();
+    for (size_t i = 0; i < b.num_rows; ++i) {
+      bool from_delta = payload[i] >= 1000000;
+      ASSERT_FALSE(view && from_delta) << "view batch holds delta row " << i;
+      delta_rows += from_delta ? 1 : 0;
+    }
+    rows += b.num_rows;
+    scan.Recycle(std::move(b));
+  }
+  scan.Close(&ctx);
+  EXPECT_EQ(rows, 5000u + 1200u);
+  EXPECT_EQ(delta_rows, 1200u);
+  EXPECT_GT(view_batches, 0u);
+  EXPECT_EQ(view_batches, ctx.stats()->chunks_zero_copy);
+  EXPECT_EQ(ctx.stats()->delta_rows_scanned, 1200u);
+
+  // And the zero-copy live scan still matches the merged table's scan.
+  exec::ExecContext live_ctx(nullptr);
+  exec::Batch with_delta = ScanSnapshot(snap, {}, /*row_filter=*/false,
+                                        &live_ctx, /*zero_copy=*/true)
+                               .ValueOrDie();
+  ASSERT_TRUE(live->Merge().ok());
+  exec::ExecContext merged_ctx(nullptr);
+  exec::Batch merged =
+      ScanSnapshot(live->OpenSnapshot(), {}, false, &merged_ctx).ValueOrDie();
   testutil::ExpectBatchesEqual(with_delta, merged, "live-vs-merged ");
 }
 

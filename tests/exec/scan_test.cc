@@ -142,6 +142,20 @@ TEST_F(BdccScanTest, NaturalScanCoversEverything) {
   EXPECT_EQ(rows, 20000u);
 }
 
+TEST_F(BdccScanTest, ZonesReadCountsEachZoneOnce) {
+  // Batches of 300 rows split every 1024-row zone into several chunks; a
+  // zone still counts once per contiguous visit.
+  ASSERT_EQ(table_->data().zone_rows(), 1024u);
+  uint64_t zones = (table_->data().num_rows() + 1023) / 1024;
+  ExecContext ctx(nullptr);
+  ctx.set_batch_size(300);
+  BdccScan scan(table_.get(), {"k"}, PlanNaturalScan(*table_));
+  uint64_t rows = CollectAll(&scan, &ctx).ValueOrDie().num_rows;
+  EXPECT_EQ(rows, table_->data().num_rows());
+  EXPECT_EQ(ctx.stats()->zones_read, zones);
+  EXPECT_EQ(ctx.stats()->zones_skipped, 0u);
+}
+
 TEST_F(BdccScanTest, GroupedEmissionIsAlignedAndAscending) {
   int own_bits = bits::Ones(table_->ReducedMask(0));
   ASSERT_GT(own_bits, 1);

